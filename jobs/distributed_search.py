@@ -1,10 +1,10 @@
 """End-to-end distributed run: build DITS per source in Spark tasks, then
-answer OJSP and CJSP queries through the distributed operators.
+answer OJSP and CJSP queries through the data center's Spark transport.
 
     spark-submit jobs/distributed_search.py
 
-Prints, per query: the distributed top-k, the SQL-operator top-k (must
-match) and the CJSP greedy picks.
+Prints, per query: the distributed top-k (it must match the SQL-operator
+top-k), the CJSP greedy picks, and the bytes each search moved.
 """
 import os
 import sys
@@ -28,25 +28,22 @@ def main(spark: SparkSession) -> None:
     cells = cell_sets_df(points, SPACE, theta).cache()
     union = {d: c for s in cell_sets_from_pdf(pdf, SPACE, theta).values() for d, c in s.items()}
     with tempfile.TemporaryDirectory() as td:
-        groot, summaries, paths = spark_ops.build_distributed_index(
-            cells, SPACE, theta, f, td
-        )
-        print(f"built {len(summaries)} per-source DITS-L indexes in Spark tasks")
+        center = spark_ops.build_distributed_index(cells, SPACE, theta, f, td)
+        print(f"built {len(center.summaries)} per-source DITS-L indexes in Spark tasks")
         for qid in pick_queries(pdf, 3):
-            q = union[qid]
-            top = spark_ops.distributed_overlap_search(
-                spark, groot, summaries, paths, q, k, SPACE, theta, (qid,)
-            )
+            q, ex = union[qid], frozenset([qid])
+            top, ojsp_comm = center.overlap_search(q, k, ex)
             qdf = spark.createDataFrame(pd.DataFrame({"cell": q}))
             sql_top = [
                 (int(r["dataset_id"]), int(r["overlap"]))
                 for r in spark_ops.overlap_topk_sql(spark, qdf, cells, k, (qid,)).collect()
             ]
             assert top == sql_top, "distributed index result != SQL operator result"
-            cov = spark_ops.distributed_coverage_search(
-                spark, groot, summaries, paths, q, delta, k, SPACE, theta, (qid,)
+            cov, cjsp_comm = center.coverage_search(q, delta, k, ex)
+            print(
+                f"query {qid}: top-{k} overlap {top[:3]}..., coverage picks {cov[:3]}...; "
+                f"{ojsp_comm.total_bytes} + {cjsp_comm.total_bytes} bytes"
             )
-            print(f"query {qid}: top-{k} overlap {top[:3]}..., coverage picks {cov[:3]}...")
     print("distributed search OK")
 
 

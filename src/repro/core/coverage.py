@@ -62,7 +62,6 @@ def coverage_search(
     query_node: DatasetNode,
     delta: float,
     k: int,
-    theta: int,
     exclude: frozenset[int] = frozenset(),
 ) -> list[tuple[int, int]]:
     """Algorithm 3. Returns [(dataset_id, gain_at_selection)] in pick order.

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import mbr_intersects, mbr_union, pivot_of_mbr, radius_of_mbr
+from ..geometry import mbr_intersects, pivot_of_mbr, radius_of_mbr
 from ..grid import Bounds
+from .dits_local import enclosing_rect, median_split
 
 
 @dataclass
@@ -28,12 +29,6 @@ class RootSummary:
     theta: int
     n_datasets: int
     cell_deg: float  # max(cell width, cell height) in degrees
-
-    @classmethod
-    def from_local_root(
-        cls, source_id: str, root, bounds: Bounds, theta: int, n_datasets: int
-    ) -> "RootSummary":
-        return cls.from_grid_rect(source_id, root.rect, bounds, theta, n_datasets)
 
     @classmethod
     def from_grid_rect(
@@ -76,25 +71,12 @@ class GlobalNode:
 
 
 def build_global_index(summaries: list[RootSummary], f: int = 10) -> GlobalNode:
-    """Same split rule as Algorithm 1, over root summaries, no leaf inv."""
-    rect = summaries[0].rect
-    for s in summaries[1:]:
-        rect = mbr_union(rect, s.rect)
+    """Algorithm 1's tree over root summaries, with no leaf inverted index."""
+    rect = enclosing_rect(summaries)
     if len(summaries) <= f:
         return GlobalNode(rect, list(summaries))
     node = GlobalNode(rect)
-    widths = (rect[2] - rect[0], rect[3] - rect[1])
-    d = 0 if widths[0] >= widths[1] else 1
-    pivots = np.array([s.o[d] for s in summaries])
-    median = float(np.median(pivots))
-    left = [s for s in summaries if s.o[d] <= median]
-    right = [s for s in summaries if s.o[d] > median]
-    if not left or not right:
-        order = np.argsort(pivots, kind="stable")
-        half = len(summaries) // 2
-        left = [summaries[i] for i in order[:half]]
-        right = [summaries[i] for i in order[half:]]
-    node.summaries = None
+    left, right = median_split(summaries, rect)
     node.left = build_global_index(left, f)
     node.right = build_global_index(right, f)
     return node

@@ -19,38 +19,46 @@ def build_dataset_nodes(datasets: dict[int, np.ndarray], theta: int) -> list[Dat
     return [DatasetNode(did, cells, theta) for did, cells in sorted(datasets.items())]
 
 
-def _enclosing_rect(nodes: list[DatasetNode]) -> np.ndarray:
-    rect = nodes[0].rect
-    for nd in nodes[1:]:
-        rect = mbr_union(rect, nd.rect)
+def enclosing_rect(items) -> np.ndarray:
+    """MBR of the ``rect`` of every item (dataset nodes or root summaries)."""
+    rect = items[0].rect
+    for it in items[1:]:
+        rect = mbr_union(rect, it.rect)
     return rect
+
+
+def median_split(items: list, rect: np.ndarray) -> tuple[list, list]:
+    """Algorithm 1's split (Lines 11-14): cut ``items`` at the median of
+    their pivots ``o`` along the widest side of ``rect``, their enclosing
+    MBR. Used by DITS-L over dataset nodes and DITS-G over root summaries."""
+    widths = (rect[2] - rect[0], rect[3] - rect[1])
+    d_split = 0 if widths[0] >= widths[1] else 1
+    pivots = np.array([it.o[d_split] for it in items])
+    median = float(np.median(pivots))
+    left = [it for it in items if it.o[d_split] <= median]
+    right = [it for it in items if it.o[d_split] > median]
+    if not left or not right:
+        # Degenerate case (many identical pivots): fall back to an even
+        # split so recursion always terminates.
+        order = np.argsort(pivots, kind="stable")
+        half = len(items) // 2
+        left = [items[i] for i in order[:half]]
+        right = [items[i] for i in order[half:]]
+    return left, right
 
 
 def build_local_index(
     nodes: list[DatasetNode], f: int, parent=None
 ) -> InternalNode | LeafNode:
     """Algorithm 1. ``nodes`` must be non-empty; returns the (sub)tree root."""
-    rect = _enclosing_rect(nodes)
+    rect = enclosing_rect(nodes)
     if len(nodes) <= f:
         leaf = LeafNode(rect, list(nodes), f)
         leaf.pa = parent
         return leaf
     root = InternalNode(rect)
     root.pa = parent
-    # Widest dimension of the enclosing MBR (Lines 11-14).
-    widths = (rect[2] - rect[0], rect[3] - rect[1])
-    d_split = 0 if widths[0] >= widths[1] else 1
-    pivots = np.array([nd.o[d_split] for nd in nodes])
-    median = float(np.median(pivots))
-    left = [nd for nd in nodes if nd.o[d_split] <= median]
-    right = [nd for nd in nodes if nd.o[d_split] > median]
-    if not left or not right:
-        # Degenerate case (many identical pivots): fall back to an even
-        # split so recursion always terminates.
-        order = np.argsort(pivots, kind="stable")
-        half = len(nodes) // 2
-        left = [nodes[i] for i in order[:half]]
-        right = [nodes[i] for i in order[half:]]
+    left, right = median_split(nodes, rect)
     root.left = build_local_index(left, f, root)
     root.right = build_local_index(right, f, root)
     refresh_geometry(root)

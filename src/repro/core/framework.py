@@ -3,6 +3,18 @@
 A :class:`DataCenter` holds DITS-G built from the root summaries the
 :class:`DataSource` objects send up; searches run in rounds of
 center→source messages whose payloads are metered by :class:`~repro.comm.CommLog`.
+The center reaches its sources through a *transport* with one batched call
+per message kind:
+
+- ``overlap(tasks, k, exclude)`` — OJSP: each source's local top-k;
+- ``best(tasks, delta, taken, use_index)`` — one CJSP greedy round: each
+  source's best candidate, and how many ``taken`` ids it holds;
+- ``cells(source_id, dataset_id)`` — the cells of the round's winner.
+
+``tasks`` is a list of (source_id, query cells at that source's
+resolution); replies come back in task order. :class:`LocalTransport` calls
+the :class:`DataSource` methods in this process; ``spark_ops.SparkTransport``
+runs the same methods inside Spark tasks.
 
 Query-distribution strategies (the knobs behind Figs 13/14, 19/20):
 
@@ -90,12 +102,9 @@ class DataSource:
 
     def summary(self) -> RootSummary:
         """The root node this source ships to the data center."""
-        return RootSummary.from_local_root(
-            self.name, self.index.root, self.bounds, self.theta, len(self.index)
+        return RootSummary.from_grid_rect(
+            self.name, self.index.root.rect, self.bounds, self.theta, len(self.index)
         )
-
-    def contains(self, dataset_id: int) -> bool:
-        return dataset_id in self.index._nodes
 
     def get_cells(self, dataset_id: int) -> np.ndarray:
         return self.index._nodes[dataset_id].cells
@@ -112,10 +121,12 @@ class DataSource:
         delta: float,
         taken: set[int],
         use_index: bool,
-    ) -> tuple[int, int, int] | None:
-        """One greedy round, locally: (dataset_id, gain, |S_D|) or None."""
+    ) -> tuple[tuple[int, int, int] | None, int]:
+        """One greedy round, locally: ((dataset_id, gain, |S_D|) or None,
+        the number of ``taken`` ids this source holds)."""
+        held = sum(d in self.index._nodes for d in taken)
         if len(covered_cells) == 0 or len(self.index) == 0:
-            return None
+            return None, held
         merged = DatasetNode(-1, covered_cells, self.theta)
         if use_index:
             cands: list[DatasetNode] = []
@@ -129,31 +140,60 @@ class DataSource:
         covered = {int(c) for c in covered_cells}
         best, tau = _pick_best(cands, covered, taken)
         if best is None:
-            return None
-        return best.id, tau, best.size
+            return None, held
+        return (best.id, tau, best.size), held
+
+
+class LocalTransport:
+    """Reaches each source by calling its :class:`DataSource` methods."""
+
+    def __init__(self, sources: list[DataSource]):
+        self.sources = {s.name: s for s in sources}
+
+    def overlap(self, tasks, k, exclude):
+        return [self.sources[sid].local_overlap(cells, k, exclude) for sid, cells in tasks]
+
+    def best(self, tasks, delta, taken, use_index):
+        return [
+            self.sources[sid].best_coverage_candidate(cells, delta, taken, use_index)
+            for sid, cells in tasks
+        ]
+
+    def cells(self, source_id, dataset_id):
+        return self.sources[source_id].get_cells(dataset_id)
 
 
 class DataCenter:
-    """The coordinator: holds DITS-G and runs the two search protocols."""
+    """The coordinator: holds DITS-G and runs the two search protocols.
 
-    def __init__(self, sources: list[DataSource], f_global: int = 10):
-        self.sources = {s.name: s for s in sources}
-        self.summaries = {s.name: s.summary() for s in sources}
-        self.global_root = build_global_index(list(self.summaries.values()), f_global)
+    ``sources`` is the transport's handle on each source: the
+    :class:`DataSource` itself in process, its pickle path under Spark.
+    """
+
+    def __init__(self, summaries: list[RootSummary], transport, theta: int, bounds: Bounds):
+        summaries = sorted(summaries, key=lambda s: s.source_id)
+        self.summaries = {s.source_id: s for s in summaries}
+        self.global_root = build_global_index(summaries)
+        self.transport = transport
+        self.sources = transport.sources
         # The center interprets raw queries at this resolution/space.
-        any_src = sources[0]
-        self.theta = any_src.theta
-        self.bounds = any_src.bounds
+        self.theta = theta
+        self.bounds = bounds
 
-    # -- helpers ----------------------------------------------------------
-    def _query_lonlat_geom(self, cells: np.ndarray):
-        return query_lonlat_geom(cells, self.bounds, self.theta)
-
-    def _clip_to_summary(self, cells: np.ndarray, s: RootSummary, pad_deg: float) -> np.ndarray:
-        return clip_cells_to_summary(cells, s, pad_deg, self.bounds, self.theta)
-
-    def _delta_deg(self, delta: float) -> float:
-        return delta_to_deg(delta, self.bounds, self.theta)
+    def _tasks(self, cands, cells: np.ndarray, pad_deg: float | None):
+        """(source_id, cells) per candidate source: clipped to within
+        ``pad_deg`` of its root MBR unless ``pad_deg`` is None (sources the
+        clip leaves nothing for are not contacted), then recoded to the
+        source's resolution."""
+        tasks = []
+        for s in cands:
+            sent = cells
+            if pad_deg is not None:
+                sent = clip_cells_to_summary(cells, s, pad_deg, self.bounds, self.theta)
+                if len(sent) == 0:
+                    continue
+            tasks.append((s.source_id, recode_cells(sent, self.bounds, self.theta, s.theta)))
+        return tasks
 
     # -- OJSP (§VI-B over §VI-A distribution) ------------------------------
     def overlap_search(
@@ -169,20 +209,15 @@ class DataCenter:
         comm = comm if comm is not None else CommLog()
         query_cells = np.unique(np.asarray(query_cells, dtype=np.int64))
         if use_global:
-            rect, o, r = self._query_lonlat_geom(query_cells)
+            rect, o, r = query_lonlat_geom(query_cells, self.bounds, self.theta)
             cands = candidate_sources(self.global_root, rect, o, r, -1.0)
         else:
-            cands = sorted(self.summaries.values(), key=lambda s: s.source_id)
+            cands = self.summaries.values()
+        tasks = self._tasks(cands, query_cells, 0.0 if clip else None)
         merged: list[tuple[int, int]] = []
-        for s in cands:
-            src = self.sources[s.source_id]
-            cells = self._clip_to_summary(query_cells, s, 0.0) if clip else query_cells
-            if clip and len(cells) == 0:
-                continue
-            sent = recode_cells(cells, self.bounds, self.theta, src.theta)
-            comm.send("center", src.name, "ojsp-query", len(sent) * CELL_BYTES + 2 * SCALAR_BYTES)
-            res = src.local_overlap(sent, k, exclude)
-            comm.send(src.name, "center", "ojsp-results", len(res) * RESULT_ROW_BYTES)
+        for (sid, sent), res in zip(tasks, self.transport.overlap(tasks, k, exclude)):
+            comm.send("center", sid, "ojsp-query", len(sent) * CELL_BYTES + 2 * SCALAR_BYTES)
+            comm.send(sid, "center", "ojsp-results", len(res) * RESULT_ROW_BYTES)
             merged.extend(res)
         merged.sort(key=lambda t: (-t[1], t[0]))
         return merged[:k], comm
@@ -203,47 +238,36 @@ class DataCenter:
         covered: set[int] = {int(c) for c in np.asarray(query_cells, dtype=np.int64)}
         taken: set[int] = set(exclude)
         result: list[tuple[int, int]] = []
+        pad = delta_to_deg(delta, self.bounds, self.theta)
         for _ in range(k):
             merged_arr = np.fromiter(covered, dtype=np.int64)
             if strategy == "sg":
-                cands = sorted(self.summaries.values(), key=lambda s: s.source_id)
+                cands = self.summaries.values()
             else:
-                rect, o, r = self._query_lonlat_geom(merged_arr)
-                cands = candidate_sources(
-                    self.global_root, rect, o, r, self._delta_deg(delta)
-                )
+                rect, o, r = query_lonlat_geom(merged_arr, self.bounds, self.theta)
+                cands = candidate_sources(self.global_root, rect, o, r, pad)
+            tasks = self._tasks(cands, merged_arr, pad if strategy == "merge" else None)
+            replies = self.transport.best(tasks, delta, taken, strategy != "sg")
             best: tuple[int, int, str] | None = None  # (gain, id, source)
-            for s in cands:
-                src = self.sources[s.source_id]
-                if strategy == "merge":
-                    cells = self._clip_to_summary(merged_arr, s, self._delta_deg(delta))
-                    if len(cells) == 0:
-                        continue
-                else:
-                    cells = merged_arr
-                sent = recode_cells(cells, self.bounds, self.theta, src.theta)
-                taken_here = [d for d in taken if src.contains(d)]
+            for (sid, sent), (reply, held) in zip(tasks, replies):
                 comm.send(
                     "center",
-                    src.name,
+                    sid,
                     "cjsp-query",
-                    len(sent) * CELL_BYTES + len(taken_here) * ID_BYTES + 3 * SCALAR_BYTES,
+                    len(sent) * CELL_BYTES + held * ID_BYTES + 3 * SCALAR_BYTES,
                 )
-                reply = src.best_coverage_candidate(
-                    sent, delta, taken, use_index=(strategy != "sg")
-                )
-                comm.send(src.name, "center", "cjsp-best", 3 * SCALAR_BYTES)
+                comm.send(sid, "center", "cjsp-best", 3 * SCALAR_BYTES)
                 if reply is None:
                     continue
                 did, gain, _size = reply
                 if best is None or gain > best[0] or (gain == best[0] and did < best[1]):
-                    best = (gain, did, src.name)
+                    best = (gain, did, sid)
             if best is None:
                 break
-            gain, did, sname = best
-            comm.send("center", sname, "cjsp-fetch", ID_BYTES)
-            cells_won = self.sources[sname].get_cells(did)
-            comm.send(sname, "center", "cjsp-cells", len(cells_won) * CELL_BYTES)
+            gain, did, sid = best
+            comm.send("center", sid, "cjsp-fetch", ID_BYTES)
+            cells_won = self.transport.cells(sid, did)
+            comm.send(sid, "center", "cjsp-cells", len(cells_won) * CELL_BYTES)
             covered.update(int(c) for c in cells_won)
             taken.add(did)
             result.append((did, gain))
@@ -255,11 +279,10 @@ def make_center(
     theta: int,
     f: int,
     bounds: Bounds,
-    f_global: int = 10,
 ) -> DataCenter:
     """Build sources + center from {source_id: {dataset_id: cells}}."""
     sources = [
         DataSource(name, datasets, theta, f, bounds)
         for name, datasets in sorted(corpus.items())
     ]
-    return DataCenter(sources, f_global)
+    return DataCenter([s.summary() for s in sources], LocalTransport(sources), theta, bounds)

@@ -22,8 +22,8 @@ from .node import DatasetNode, LeafNode
 
 
 def overlap_of(a: np.ndarray, b: np.ndarray) -> int:
-    """|S_a ∩ S_b| for two sorted cell-ID arrays."""
-    return int(np.intersect1d(a, b, assume_unique=True).size)
+    """|S_a ∩ S_b| for two cell-ID arrays, which may repeat cells."""
+    return int(np.intersect1d(a, b).size)
 
 
 def brute_force_topk(
@@ -33,7 +33,7 @@ def brute_force_topk(
     exclude: frozenset[int] = frozenset(),
 ) -> list[tuple[int, int]]:
     """Reference OJSP answer: [(dataset_id, overlap)] sorted by (-overlap, id)."""
-    q = np.sort(np.asarray(query_cells, dtype=np.int64))
+    q = np.asarray(query_cells, dtype=np.int64)
     scored = [
         (did, overlap_of(q, cells))
         for did, cells in datasets.items()
@@ -47,7 +47,7 @@ def brute_force_topk(
 def _matched_key_idx(leaf: LeafNode, query_cells: np.ndarray) -> np.ndarray:
     """Indices into ``leaf.keys`` of the query cells present in the leaf.
 
-    ``query_cells`` must be sorted (DatasetNode cells always are).
+    ``query_cells`` must be distinct (DatasetNode cells always are).
     """
     keys = leaf.keys
     if len(keys) == 0 or len(query_cells) == 0:

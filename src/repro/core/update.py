@@ -111,4 +111,4 @@ class DitsLocalIndex:
         return overlap_search(self.root, query_node, k, exclude)
 
     def search_coverage(self, query_node, delta, k, exclude=frozenset()):
-        return coverage_search(self.root, query_node, delta, k, self.theta, exclude)
+        return coverage_search(self.root, query_node, delta, k, exclude)

@@ -6,13 +6,15 @@ Executors play the data sources, the driver plays the data center:
   operator* (query cells ⋈ corpus cells → distinct-count → window top-k);
   the relational reference the index algorithms are checked against.
 - :func:`build_distributed_index` — `applyInPandas` per ``source_id``
-  builds each source's DITS-L inside its own task and persists it; the
-  returned root summaries are "each source sends its root node to the data
-  center", from which the driver builds DITS-G.
-- :func:`distributed_overlap_search` / :func:`distributed_coverage_search`
-  — DITS-G prunes candidate sources on the driver, the *clipped* query
-  ships to per-source `mapInPandas` tasks which run the local search
-  algorithms, and results aggregate back with DataFrame ops.
+  builds each source's :class:`~repro.core.framework.DataSource` inside its
+  own task and pickles it; the returned root summaries are "each source
+  sends its root node to the data center", from which the driver builds
+  DITS-G in a :class:`~repro.core.framework.DataCenter`.
+- :class:`SparkTransport` — the center's transport to those sources: each
+  per-source call of the §VI-A protocol is one `mapInPandas` job whose
+  tasks unpickle their own source. The protocol itself (pruning, clipping,
+  top-k merge, greedy rounds) is ``DataCenter``'s, shared with the
+  in-process path.
 """
 from __future__ import annotations
 
@@ -24,12 +26,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
-from .core.coverage import _pick_best, find_connect_set
-from .core.dits_global import GlobalNode, RootSummary, build_global_index, candidate_sources
-from .core.framework import clip_cells_to_summary, delta_to_deg, query_lonlat_geom
-from .core.node import DatasetNode
-from .core.overlap import query_node_from_cells
-from .core.update import DitsLocalIndex
+from .core.dits_global import RootSummary
+from .core.framework import DataCenter, DataSource
 from .grid import Bounds
 
 
@@ -61,16 +59,88 @@ def overlap_topk_sql(
     )
 
 
-_INDEX_CACHE: dict[str, DitsLocalIndex] = {}
+#: Sources a Python worker has unpickled: path -> ((mtime_ns, size), source).
+#: The file stamp tells a source rebuilt into the same path from the old one.
+_INDEX_CACHE: dict[str, tuple[tuple[int, int], DataSource]] = {}
 
 
-def _load_index(path: str) -> DitsLocalIndex:
-    idx = _INDEX_CACHE.get(path)
-    if idx is None:
+def _load_source(path: str) -> DataSource:
+    """The pickled source at ``path``; runs inside Spark tasks only."""
+    st = os.stat(path)
+    stamp = (st.st_mtime_ns, st.st_size)
+    hit = _INDEX_CACHE.get(path)
+    if hit is None or hit[0] != stamp:
         with open(path, "rb") as fh:
-            idx = pickle.load(fh)
-        _INDEX_CACHE[path] = idx
-    return idx
+            hit = (stamp, pickle.load(fh))
+        _INDEX_CACHE[path] = hit
+    return hit[1]
+
+
+class SparkTransport:
+    """Reaches each source through Spark tasks: every call is one
+    `mapInPandas` job with one partition per contacted source, whose task
+    unpickles that source from ``sources[source_id]`` and calls the same
+    :class:`~repro.core.framework.DataSource` method the in-process
+    transport calls."""
+
+    def __init__(self, spark: SparkSession, paths: dict[str, str]):
+        self.spark = spark
+        self.sources = paths
+
+    def _run(self, tasks, schema: str, fn) -> dict[str, list[tuple]]:
+        """Run ``fn(source, cells)`` for every (source_id, cells) task;
+        returns {source_id: the rows ``fn`` gave, typed by ``schema``}."""
+        out: dict[str, list[tuple]] = {sid: [] for sid, _ in tasks}
+        if not tasks:
+            return out
+        paths = self.sources
+        names = ["source_id"] + [col.split()[0] for col in schema.split(",")]
+        pdf = pd.DataFrame(
+            {"source_id": [sid for sid, _ in tasks], "cells": [c.tolist() for _, c in tasks]}
+        )
+
+        def run(batches):
+            for batch in batches:
+                for sid, cells in zip(batch["source_id"], batch["cells"]):
+                    src = _load_source(paths[sid])
+                    rows = fn(src, np.asarray(cells, dtype=np.int64))
+                    yield pd.DataFrame([(sid, *r) for r in rows], columns=names)
+
+        df = self.spark.createDataFrame(pdf, "source_id string, cells array<long>")
+        df = df.repartitionByRange(len(tasks), "source_id")
+        for row in df.mapInPandas(run, "source_id string, " + schema).collect():
+            out[row[0]].append(tuple(row[1:]))
+        return out
+
+    def overlap(self, tasks, k, exclude):
+        rows = self._run(
+            tasks,
+            "dataset_id long, overlap long",
+            lambda src, cells: src.local_overlap(cells, k, exclude),
+        )
+        return [rows[sid] for sid, _ in tasks]
+
+    def best(self, tasks, delta, taken, use_index):
+        taken = frozenset(taken)
+
+        def fn(src, cells):
+            reply, held = src.best_coverage_candidate(cells, delta, taken, use_index)
+            return [(held, *(reply or (None, None, None)))]
+
+        rows = self._run(tasks, "held long, dataset_id long, gain long, size long", fn)
+        out = []
+        for sid, _ in tasks:
+            held, did, gain, size = rows[sid][0]
+            out.append((None if did is None else (did, gain, size), held))
+        return out
+
+    def cells(self, source_id, dataset_id):
+        rows = self._run(
+            [(source_id, np.empty(0, dtype=np.int64))],
+            "cell long",
+            lambda src, _cells: [(int(c),) for c in src.get_cells(dataset_id)],
+        )
+        return np.array([c for (c,) in rows[source_id]], dtype=np.int64)
 
 
 def build_distributed_index(
@@ -79,11 +149,12 @@ def build_distributed_index(
     theta: int,
     f: int,
     out_dir: str,
-) -> tuple[GlobalNode, dict[str, RootSummary], dict[str, str]]:
-    """Build every source's DITS-L inside Spark tasks; DITS-G on the driver.
+) -> DataCenter:
+    """Build every source inside a Spark task; DITS-G on the driver.
 
-    ``cells_df``: (source_id, dataset_id, cell) rows. Returns the global
-    index, {source_id: RootSummary} and {source_id: pickle path}.
+    ``cells_df``: (source_id, dataset_id, cell) rows. Each task pickles its
+    :class:`~repro.core.framework.DataSource` to ``out_dir``; the returned
+    center reaches them through a :class:`SparkTransport`.
     """
     os.makedirs(out_dir, exist_ok=True)
     schema = (
@@ -94,14 +165,14 @@ def build_distributed_index(
     def build(pdf: pd.DataFrame) -> pd.DataFrame:
         sid = str(pdf["source_id"].iloc[0])
         datasets = {
-            int(did): np.unique(g["cell"].to_numpy(dtype=np.int64))
+            int(did): g["cell"].to_numpy(dtype=np.int64)
             for did, g in pdf.groupby("dataset_id")
         }
-        idx = DitsLocalIndex(datasets, theta, f)
+        src = DataSource(sid, datasets, theta, f, bounds)
         path = os.path.join(out_dir, f"{sid}.pkl")
         with open(path, "wb") as fh:
-            pickle.dump(idx, fh)
-        r = idx.root.rect
+            pickle.dump(src, fh)
+        r = src.index.root.rect
         return pd.DataFrame(
             [
                 {
@@ -117,8 +188,8 @@ def build_distributed_index(
         )
 
     rows = cells_df.groupBy("source_id").applyInPandas(build, schema).collect()
-    summaries = {
-        r["source_id"]: RootSummary.from_grid_rect(
+    summaries = [
+        RootSummary.from_grid_rect(
             r["source_id"],
             np.array([r["gx0"], r["gy0"], r["gx1"], r["gy1"]]),
             bounds,
@@ -126,124 +197,7 @@ def build_distributed_index(
             r["n_datasets"],
         )
         for r in rows
-    }
+    ]
     paths = {r["source_id"]: r["path"] for r in rows}
-    groot = build_global_index(sorted(summaries.values(), key=lambda s: s.source_id))
-    return groot, summaries, paths
-
-
-def distributed_overlap_search(
-    spark: SparkSession,
-    groot: GlobalNode,
-    summaries: dict[str, RootSummary],
-    paths: dict[str, str],
-    query_cells: np.ndarray,
-    k: int,
-    bounds: Bounds,
-    theta: int,
-    exclude: tuple[int, ...] = (),
-) -> list[tuple[int, int]]:
-    """OJSP over the distributed index; equals the driver-side framework."""
-    query_cells = np.unique(np.asarray(query_cells, dtype=np.int64))
-    rect, o, r = query_lonlat_geom(query_cells, bounds, theta)
-    cands = candidate_sources(groot, rect, o, r, -1.0)
-    tasks = []
-    for s in cands:
-        clipped = clip_cells_to_summary(query_cells, s, 0.0, bounds, theta)
-        if len(clipped):
-            tasks.append((s.source_id, paths[s.source_id], [int(c) for c in clipped]))
-    if not tasks:
-        return []
-    tasks_df = spark.createDataFrame(
-        pd.DataFrame(tasks, columns=["source_id", "path", "cells"])
-    ).repartition(len(tasks), "source_id")
-    excl = frozenset(int(e) for e in exclude)
-
-    def run(batches):
-        for pdf in batches:
-            out = []
-            for row in pdf.itertuples(index=False):
-                idx = _load_index(row.path)
-                qn = query_node_from_cells(np.asarray(row.cells, dtype=np.int64), theta)
-                for did, ov in idx.search_overlap(qn, k, excl):
-                    out.append((did, ov))
-            yield pd.DataFrame(out, columns=["dataset_id", "overlap"])
-
-    res = tasks_df.mapInPandas(run, "dataset_id long, overlap long")
-    w = Window.orderBy(F.desc("overlap"), F.asc("dataset_id"))
-    top = (
-        res.withColumn("rank", F.row_number().over(w))
-        .filter(F.col("rank") <= k)
-        .drop("rank")
-        .collect()
-    )
-    return [(int(r["dataset_id"]), int(r["overlap"])) for r in top]
-
-
-def distributed_coverage_search(
-    spark: SparkSession,
-    groot: GlobalNode,
-    summaries: dict[str, RootSummary],
-    paths: dict[str, str],
-    query_cells: np.ndarray,
-    delta: float,
-    k: int,
-    bounds: Bounds,
-    theta: int,
-    exclude: tuple[int, ...] = (),
-) -> list[tuple[int, int]]:
-    """CJSP greedy: one Spark job per iteration (the paper's round trips)."""
-    covered = {int(c) for c in np.asarray(query_cells, dtype=np.int64)}
-    taken = set(int(e) for e in exclude)
-    result: list[tuple[int, int]] = []
-    pad = delta_to_deg(delta, bounds, theta)
-    for _ in range(k):
-        merged = np.fromiter(covered, dtype=np.int64)
-        rect, o, r = query_lonlat_geom(merged, bounds, theta)
-        cands = candidate_sources(groot, rect, o, r, pad)
-        tasks = []
-        for s in cands:
-            clipped = clip_cells_to_summary(merged, s, pad, bounds, theta)
-            if len(clipped):
-                tasks.append(
-                    (s.source_id, paths[s.source_id], [int(c) for c in clipped])
-                )
-        if not tasks:
-            break
-        tasks_df = spark.createDataFrame(
-            pd.DataFrame(tasks, columns=["source_id", "path", "cells"])
-        ).repartition(len(tasks), "source_id")
-        taken_now = frozenset(taken)
-
-        def run(batches):
-            for pdf in batches:
-                out = []
-                for row in pdf.itertuples(index=False):
-                    idx = _load_index(row.path)
-                    cells = np.asarray(row.cells, dtype=np.int64)
-                    merged_node = DatasetNode(-1, cells, theta)
-                    found: list[DatasetNode] = []
-                    find_connect_set(idx.root, merged_node, delta, found)
-                    best, tau = _pick_best(
-                        found, {int(c) for c in cells}, set(taken_now)
-                    )
-                    if best is not None:
-                        out.append((row.source_id, best.id, tau))
-                yield pd.DataFrame(out, columns=["source_id", "dataset_id", "gain"])
-
-        rows = tasks_df.mapInPandas(
-            run, "source_id string, dataset_id long, gain long"
-        ).collect()
-        best = None  # (gain, id, source)
-        for row in rows:
-            g, did = int(row["gain"]), int(row["dataset_id"])
-            if best is None or g > best[0] or (g == best[0] and did < best[1]):
-                best = (g, did, row["source_id"])
-        if best is None:
-            break
-        gain, did, sid = best
-        cells_won = _load_index(paths[sid])._nodes[did].cells
-        covered.update(int(c) for c in cells_won)
-        taken.add(did)
-        result.append((did, gain))
-    return result
+    transport = SparkTransport(cells_df.sparkSession, paths)
+    return DataCenter(summaries, transport, theta, bounds)

@@ -92,7 +92,7 @@ class TestCoverageSearchAgainstBaselines:
         g = np.random.default_rng(seed + 7)
         q = np.unique(z_encode_np(g.integers(0, 200, 10), g.integers(0, 200, 10), theta))
         qn = query_node_from_cells(q, theta)
-        a = coverage_search(root, qn, delta, k, theta)
+        a = coverage_search(root, qn, delta, k)
         b = SGCoverage(ds, theta).search(qn, delta, k)
         c = SGDitsCoverage(root, theta).search(qn, delta, k)
         assert a == b == c
@@ -105,7 +105,7 @@ class TestCoverageSearchAgainstBaselines:
         g = np.random.default_rng(seed + 7)
         q = np.unique(z_encode_np(g.integers(0, 200, 10), g.integers(0, 200, 10), theta))
         qn = query_node_from_cells(q, theta)
-        res = coverage_search(root, qn, delta, k, theta)
+        res = coverage_search(root, qn, delta, k)
         assert is_connected_result([d for d, _ in res], ds, q, delta, theta)
 
     def test_gains_sum_to_coverage_increase(self):
@@ -114,7 +114,7 @@ class TestCoverageSearchAgainstBaselines:
         root = build_dits_l(ds, theta, 4)
         q = ds[0]
         qn = query_node_from_cells(q, theta)
-        res = coverage_search(root, qn, delta, k, theta, exclude=frozenset([0]))
+        res = coverage_search(root, qn, delta, k, exclude=frozenset([0]))
         total = coverage_of([d for d, _ in res], ds, q)
         assert total == len(q) + sum(g for _, g in res)
 
@@ -126,7 +126,7 @@ class TestCoverageSearchAgainstBaselines:
         ds = {1: small, 2: big}
         root = build_dits_l(ds, theta, 4)
         qn = query_node_from_cells(np.array([0]), theta)
-        res = coverage_search(root, qn, 1.5, 1, theta)
+        res = coverage_search(root, qn, 1.5, 1)
         assert res[0][0] == 2
 
     def test_unconnected_candidate_never_chosen(self):
@@ -136,7 +136,7 @@ class TestCoverageSearchAgainstBaselines:
         ds = {1: near, 2: far}
         root = build_dits_l(ds, theta, 4)
         qn = query_node_from_cells(np.array([0]), theta)
-        res = coverage_search(root, qn, 2, 2, theta)
+        res = coverage_search(root, qn, 2, 2)
         assert [d for d, _ in res] == [1]
 
     def test_chain_reachability_grows_with_picks(self):
@@ -147,7 +147,7 @@ class TestCoverageSearchAgainstBaselines:
         ds = {1: near, 2: far}
         root = build_dits_l(ds, theta, 4)
         qn = query_node_from_cells(np.array([0]), theta)
-        res = coverage_search(root, qn, 2, 2, theta)
+        res = coverage_search(root, qn, 2, 2)
         assert [d for d, _ in res] == [1, 2]
 
     def test_k_zero(self, dits):

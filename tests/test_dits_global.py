@@ -24,9 +24,9 @@ def _summary(name, x0, y0, x1, y1):
 
 
 class TestRootSummary:
-    def test_from_local_root_covers_cells(self, union_datasets):
+    def test_summary_covers_cells(self, union_datasets):
         root = build_dits_l(union_datasets, THETA, 10)
-        s = RootSummary.from_local_root("x", root, SPACE, THETA, len(union_datasets))
+        s = RootSummary.from_grid_rect("x", root.rect, SPACE, THETA, len(union_datasets))
         nu, mu = SPACE.cell_size(THETA)
         # lon/lat rect covers the grid rect's full cells
         assert s.rect[0] == pytest.approx(SPACE.x0 + root.rect[0] * nu)
@@ -92,7 +92,7 @@ class TestCandidateSources:
             name: build_dits_l(ds, THETA, 10) for name, ds in corpus.items() if ds
         }
         summaries = [
-            RootSummary.from_local_root(name, r, SPACE, THETA, 1)
+            RootSummary.from_grid_rect(name, r.rect, SPACE, THETA, 1)
             for name, r in roots.items()
         ]
         groot = build_global_index(summaries)

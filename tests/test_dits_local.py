@@ -59,11 +59,14 @@ class TestDatasetNode:
         assert nd.rect.tolist() == [1.0, 2.0, 1.0, 3.0]
         assert nd.o.tolist() == [1.0, 2.5]
         assert nd.r == pytest.approx(0.5)
-        assert nd.cell_set == {9, 11}
 
     def test_cells_sorted_and_unique_input_preserved(self):
         nd = DatasetNode(0, np.array([11, 9]), 2)
         assert nd.cells.tolist() == [9, 11]
+
+    def test_duplicate_cells_stored_once(self):
+        nd = DatasetNode(0, np.array([11, 9, 11, 11]), 2)
+        assert nd.cells.tolist() == [9, 11] and nd.size == 2
 
     def test_build_dataset_nodes_sorted_by_id(self):
         nodes = build_dataset_nodes({3: np.array([1]), 1: np.array([2])}, 2)

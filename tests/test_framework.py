@@ -126,4 +126,4 @@ class TestDataSource:
     def test_best_coverage_candidate_none_when_disconnected(self):
         src = DataSource("t", {1: np.array([0])}, 6, 4, SPACE)
         far = np.array([4095])  # opposite corner of the theta=6 grid
-        assert src.best_coverage_candidate(far, 1.0, set(), True) is None
+        assert src.best_coverage_candidate(far, 1.0, {1, 2}, True) == (None, 1)

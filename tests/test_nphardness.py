@@ -69,7 +69,7 @@ def test_reduction_preserves_greedy_objective(seed, k):
     datasets, query, delta, _ = _mcp_to_cjsp(sets, theta)
     root = build_dits_l(datasets, theta, 4)
     qn = query_node_from_cells(query, theta)
-    res = coverage_search(root, qn, delta, k, theta)
+    res = coverage_search(root, qn, delta, k)
     marginal = coverage_of([d for d, _ in res], datasets, query) - len(query)
     assert marginal == _greedy_mcp(sets, k)
 
@@ -83,7 +83,7 @@ def test_greedy_approximation_guarantee(seed):
     datasets, query, delta, _ = _mcp_to_cjsp(sets, theta)
     root = build_dits_l(datasets, theta, 4)
     qn = query_node_from_cells(query, theta)
-    res = coverage_search(root, qn, delta, k, theta)
+    res = coverage_search(root, qn, delta, k)
     marginal = coverage_of([d for d, _ in res], datasets, query) - len(query)
     opt = _exact_mcp(sets, k)
     assert marginal >= (1 - 1 / np.e) * opt - 1e-9

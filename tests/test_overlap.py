@@ -36,6 +36,9 @@ class TestOverlapOf:
         a = np.array([2, 4, 6])
         assert overlap_of(a, a) == 3
 
+    def test_repeated_cells_count_once(self):
+        assert overlap_of(np.array([3, 3, 3, 4]), np.array([4, 3, 5, 3])) == 2
+
 
 class TestBruteForce:
     def test_ordering_and_tie_break(self):
@@ -99,6 +102,15 @@ class TestOverlapSearch:
         root = build_dits_l(ds, 8, 5)
         qn = query_node_from_cells(np.array([1, 2, 3]), 8)
         assert overlap_search(root, qn, 2, frozenset([0])) == [(1, 2)]
+
+    def test_duplicate_query_cells_count_once(self):
+        """The reference and the index must not share a blind spot:
+        a repeated query cell is one cell of S_Q."""
+        ds = {1: np.array([3, 4, 5]), 2: np.array([100])}
+        q = np.array([3, 3, 3, 4])
+        root = build_dits_l(ds, 6, 4)
+        assert brute_force_topk(q, ds, 10) == [(1, 2)]
+        assert overlap_search(root, query_node_from_cells(q, 6), 10) == [(1, 2)]
 
     def test_k_larger_than_corpus(self):
         ds = {0: np.array([1]), 1: np.array([1, 2])}
