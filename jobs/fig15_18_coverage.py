@@ -1,5 +1,5 @@
 """Figs. 15-18: CJSP search time vs k, theta, q and delta (3 methods)."""
-from _common import COV_WB, emit, make_wb
+from _common import emit, make_wb
 
 from repro.experiments import (
     fig15_coverage_vs_k,
@@ -10,7 +10,7 @@ from repro.experiments import (
 
 
 def main() -> None:
-    wb = make_wb(COV_WB)
+    wb = make_wb("cov")
     emit("fig15_coverage_vs_k", fig15_coverage_vs_k(wb), "k")
     emit("fig16_coverage_vs_theta", fig16_coverage_vs_theta(wb), "theta")
     emit("fig17_coverage_vs_q", fig17_coverage_vs_q(wb), "q")

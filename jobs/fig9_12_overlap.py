@@ -1,5 +1,5 @@
 """Figs. 9-12: OJSP search time vs k, theta, q and f (5 methods)."""
-from _common import SEARCH_WB, emit, make_wb
+from _common import emit, make_wb
 
 from repro.experiments import (
     fig9_overlap_vs_k,
@@ -10,7 +10,7 @@ from repro.experiments import (
 
 
 def main() -> None:
-    wb = make_wb(SEARCH_WB)
+    wb = make_wb("search")
     emit("fig9_overlap_vs_k", fig9_overlap_vs_k(wb), "k")
     emit("fig10_overlap_vs_theta", fig10_overlap_vs_theta(wb), "theta")
     emit("fig11_overlap_vs_q", fig11_overlap_vs_q(wb), "q")

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import min_cell_distance
-from ..core.coverage import _pick_best
+from ..geometry import cell_coords, min_cell_distance
+from ..core.coverage import _pick_best, find_connect_set
 from ..core.dits_local import build_dataset_nodes
 from ..core.node import DatasetNode
 
@@ -37,7 +37,7 @@ class SGCoverage:
         k: int,
         exclude: frozenset[int] = frozenset(),
     ) -> list[tuple[int, int]]:
-        covered = {int(c) for c in query_node.cells}
+        covered = query_node.cells
         merged_coords = query_node.coords
         taken: set[int] = set(exclude)
         result: list[tuple[int, int]] = []
@@ -53,10 +53,8 @@ class SGCoverage:
                 break
             result.append((best.id, tau))
             taken.add(best.id)
-            covered.update(int(c) for c in best.cells)
-            merged_coords = DatasetNode(
-                -1, np.fromiter(covered, dtype=np.int64), self.theta
-            ).coords
+            covered = np.union1d(covered, best.cells)
+            merged_coords = cell_coords(covered, self.theta)
         return result
 
 
@@ -74,9 +72,7 @@ class SGDitsCoverage:
         k: int,
         exclude: frozenset[int] = frozenset(),
     ) -> list[tuple[int, int]]:
-        from ..core.coverage import find_connect_set
-
-        covered = {int(c) for c in query_node.cells}
+        covered = query_node.cells
         members: list[DatasetNode] = [query_node]
         taken: set[int] = set(exclude)
         result: list[tuple[int, int]] = []
@@ -92,6 +88,6 @@ class SGDitsCoverage:
                 break
             result.append((best.id, tau))
             taken.add(best.id)
-            covered.update(int(c) for c in best.cells)
+            covered = np.union1d(covered, best.cells)
             members.append(best)
         return result

@@ -20,6 +20,8 @@ import bisect
 
 import numpy as np
 
+from ..grid import canonical_cells
+
 
 class JosieIndex:
     def __init__(self, datasets: dict[int, np.ndarray]):
@@ -29,7 +31,7 @@ class JosieIndex:
         self.freq: dict[int, int] = {}
         self._pids: dict[int, np.ndarray] = {}  # lazy id-array per posting
         for did in sorted(datasets):
-            self.cells[did] = np.asarray(datasets[did], dtype=np.int64)
+            self.cells[did] = canonical_cells(datasets[did])
         for cells in self.cells.values():
             for c in cells:
                 self.freq[int(c)] = self.freq.get(int(c), 0) + 1
@@ -48,7 +50,7 @@ class JosieIndex:
             self._pids.pop(t, None)
 
     def insert(self, dataset_id: int, cells: np.ndarray) -> None:
-        cells = np.asarray(cells, dtype=np.int64)
+        cells = canonical_cells(cells)
         self.cells[dataset_id] = cells
         for c in cells:
             self.freq[int(c)] = self.freq.get(int(c), 0) + 1
@@ -83,7 +85,7 @@ class JosieIndex:
         # query set). Counting is vectorized over a dense per-dataset array;
         # the freeze check runs periodically (freezing *later* than the
         # earliest safe point is always correct — just less pruning).
-        toks = self._sorted_tokens(np.unique(np.asarray(query_cells, dtype=np.int64)))
+        toks = self._sorted_tokens(canonical_cells(query_cells))
         all_ids = np.array(sorted(self.cells), dtype=np.int64)
         n = len(all_ids)
         if n == 0 or not toks:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..grid import z_decode_np
+from ..grid import canonical_cells, z_decode_np
 
 
 class _QNode:
@@ -51,7 +51,7 @@ class QuadTreeIndex:
         # O(N log N) numpy passes.
         rows = []
         for did in sorted(datasets):
-            cells = np.asarray(datasets[did], dtype=np.int64)
+            cells = canonical_cells(datasets[did], theta)
             self.cells[did] = cells
             X, Y = z_decode_np(cells, theta)
             rows.append(
@@ -81,7 +81,7 @@ class QuadTreeIndex:
 
     # -- maintenance ------------------------------------------------------
     def insert(self, dataset_id: int, cells: np.ndarray) -> None:
-        cells = np.asarray(cells, dtype=np.int64)
+        cells = canonical_cells(cells, self.theta)
         self.cells[dataset_id] = cells
         X, Y = z_decode_np(cells, self.theta)
         for x, y, c in zip(X, Y, cells):
@@ -137,7 +137,7 @@ class QuadTreeIndex:
         k: int,
         exclude: frozenset[int] = frozenset(),
     ) -> list[tuple[int, int]]:
-        q = np.unique(np.asarray(query_cells, dtype=np.int64))
+        q = canonical_cells(query_cells, self.theta)
         X, Y = z_decode_np(q, self.theta)
         xmin, xmax = int(X.min()), int(X.max())
         ymin, ymax = int(Y.min()), int(Y.max())

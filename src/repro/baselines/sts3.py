@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..grid import canonical_cells
+
 
 class STS3Index:
     """cell ID -> list of dataset IDs containing it, over one data source."""
@@ -21,7 +23,7 @@ class STS3Index:
         # slice out the posting list of each distinct cell.
         ids_sorted = sorted(datasets)
         for did in ids_sorted:
-            self.cells[did] = np.asarray(datasets[did], dtype=np.int64)
+            self.cells[did] = canonical_cells(datasets[did])
         all_cells = np.concatenate([self.cells[d] for d in ids_sorted])
         all_ids = np.concatenate(
             [np.full(len(self.cells[d]), d, dtype=np.int64) for d in ids_sorted]
@@ -42,7 +44,7 @@ class STS3Index:
         return a
 
     def insert(self, dataset_id: int, cells: np.ndarray) -> None:
-        cells = np.asarray(cells, dtype=np.int64)
+        cells = canonical_cells(cells)
         self.cells[dataset_id] = cells
         for c in cells:
             self.inv.setdefault(int(c), []).append(dataset_id)
@@ -69,7 +71,8 @@ class STS3Index:
         exclude: frozenset[int] = frozenset(),
     ) -> list[tuple[int, int]]:
         inv = self.inv
-        parts = [self._posting_arr(c) for c in map(int, query_cells) if c in inv]
+        q = canonical_cells(query_cells).tolist()
+        parts = [self._posting_arr(c) for c in q if c in inv]
         if not parts:
             return []
         ids, counts = np.unique(np.concatenate(parts), return_counts=True)

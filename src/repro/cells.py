@@ -13,7 +13,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .grid import Bounds, cell_ids_np, cell_id_col
+from .grid import Bounds, canonical_cells, cell_ids_np, cell_id_col
 
 
 def with_cells(points: DataFrame, bounds: Bounds, theta: int) -> DataFrame:
@@ -63,7 +63,7 @@ def dataset_summaries_df(points: DataFrame, bounds: Bounds, theta: int) -> DataF
 def collect_cell_sets(
     points: DataFrame, bounds: Bounds, theta: int
 ) -> dict[str, dict[int, np.ndarray]]:
-    """Materialize {source_id: {dataset_id: sorted cell-ID array}}.
+    """Materialize {source_id: {dataset_id: canonical cell set}}.
 
     Uses ``collect_set`` so the shuffle moves one row per dataset, not one
     per point.
@@ -76,9 +76,7 @@ def collect_cell_sets(
     )
     out: dict[str, dict[int, np.ndarray]] = {}
     for r in rows:
-        out.setdefault(r["source_id"], {})[int(r["dataset_id"])] = np.sort(
-            np.asarray(r["cells"], dtype=np.int64)
-        )
+        out.setdefault(r["source_id"], {})[int(r["dataset_id"])] = canonical_cells(r["cells"])
     return out
 
 
@@ -90,5 +88,5 @@ def cell_sets_from_pdf(
     pdf["cell"] = cell_ids_np(pdf["x"].to_numpy(), pdf["y"].to_numpy(), bounds, theta)
     out: dict[str, dict[int, np.ndarray]] = {}
     for (sid, did), g in pdf.groupby(["source_id", "dataset_id"], sort=True):
-        out.setdefault(str(sid), {})[int(did)] = np.unique(g["cell"].to_numpy())
+        out.setdefault(str(sid), {})[int(did)] = canonical_cells(g["cell"].to_numpy())
     return out

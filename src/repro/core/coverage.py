@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import min_cell_distance, node_distance_bounds
+from ..geometry import cell_coords, min_cell_distance, node_distance_bounds
+from ..grid import match_cells
 from .dits_local import iter_dataset_nodes
 from .node import DatasetNode
 
@@ -35,13 +36,14 @@ def find_connect_set(node, query_node: DatasetNode, delta: float, out: list) -> 
             find_connect_set(node.right, query_node, delta, out)
 
 
-def marginal_gain(cells: np.ndarray, covered: set[int]) -> int:
-    """Eq. 3: number of new cells ``cells`` adds to ``covered``."""
-    return sum(1 for c in cells if int(c) not in covered)
+def marginal_gain(cells: np.ndarray, covered: np.ndarray) -> int:
+    """Eq. 3: number of new cells ``cells`` adds to ``covered`` (both
+    canonical cell sets)."""
+    return len(cells) - len(match_cells(covered, cells))
 
 
 def _pick_best(
-    candidates: list[DatasetNode], covered: set[int], taken: set[int]
+    candidates: list[DatasetNode], covered: np.ndarray, taken: set[int]
 ) -> tuple[DatasetNode | None, int]:
     """Max-marginal-gain candidate with the shared size filter + tie-break."""
     best: DatasetNode | None = None
@@ -70,7 +72,9 @@ def coverage_search(
     connectivity: every pick is directly connected to the merged result of
     the picks before it.
     """
-    covered: set[int] = {int(c) for c in query_node.cells}
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    covered = query_node.cells
     taken: set[int] = set(exclude)
     result: list[tuple[int, int]] = []
     # The merged set only grows, so its connected-candidate set is the
@@ -92,13 +96,14 @@ def coverage_search(
             break  # no connected candidate remains
         result.append((best.id, tau))
         taken.add(best.id)
-        covered.update(int(c) for c in best.cells)
+        covered = np.union1d(covered, best.cells)
         newly_merged = best
     return result
 
 
 def coverage_of(result_ids, datasets: dict[int, np.ndarray], query_cells: np.ndarray) -> int:
-    """|S_Q ∪ ⋃ S_D| — the CJSP objective value of a result set."""
+    """|S_Q ∪ ⋃ S_D| — the CJSP objective value of a result set. A
+    reference: it keeps its own set logic and takes cells in any form."""
     covered = {int(c) for c in query_cells}
     for did in result_ids:
         covered.update(int(c) for c in datasets[did])
@@ -117,8 +122,6 @@ def is_connected_result(
     Builds the direct-connection graph with exact Def. 6 distances and
     verifies a single connected component.
     """
-    from ..geometry import cell_coords
-
     members = [cell_coords(np.asarray(query_cells, dtype=np.int64), theta)] + [
         cell_coords(datasets[d], theta) for d in result_ids
     ]

@@ -50,8 +50,9 @@ def median_split(items: list, rect: np.ndarray) -> tuple[list, list]:
 def build_local_index(
     nodes: list[DatasetNode], f: int, parent=None
 ) -> InternalNode | LeafNode:
-    """Algorithm 1. ``nodes`` must be non-empty; returns the (sub)tree root."""
-    rect = enclosing_rect(nodes)
+    """Algorithm 1: the (sub)tree root over ``nodes``; an empty leaf, the
+    root an index has once every dataset is deleted, when there are none."""
+    rect = enclosing_rect(nodes) if nodes else np.zeros(4)
     if len(nodes) <= f:
         leaf = LeafNode(rect, list(nodes), f)
         leaf.pa = parent

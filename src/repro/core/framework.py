@@ -37,7 +37,7 @@ import numpy as np
 
 from ..comm import CELL_BYTES, ID_BYTES, RESULT_ROW_BYTES, SCALAR_BYTES, CommLog
 from ..geometry import min_cell_distance
-from ..grid import Bounds, cell_ids_np, cells_to_lonlat_center
+from ..grid import Bounds, canonical_cells, cell_ids_np, cells_to_lonlat_center
 from .coverage import _pick_best, find_connect_set
 from .dits_global import RootSummary, build_global_index, candidate_sources
 from .dits_local import iter_dataset_nodes
@@ -47,11 +47,12 @@ from .update import DitsLocalIndex
 
 
 def recode_cells(cells: np.ndarray, bounds: Bounds, theta_from: int, theta_to: int) -> np.ndarray:
-    """Re-encode cell IDs between resolutions via cell centers (§V-B)."""
+    """Re-encode a canonical cell set between resolutions via cell centers
+    (§V-B); the result is canonical too."""
     if theta_from == theta_to:
-        return np.asarray(cells, dtype=np.int64)
-    x, y = cells_to_lonlat_center(np.asarray(cells, dtype=np.int64), bounds, theta_from)
-    return np.unique(cell_ids_np(x, y, bounds, theta_to))
+        return cells
+    x, y = cells_to_lonlat_center(cells, bounds, theta_from)
+    return canonical_cells(cell_ids_np(x, y, bounds, theta_to))
 
 
 def query_lonlat_geom(cells: np.ndarray, bounds: Bounds, theta: int):
@@ -125,8 +126,6 @@ class DataSource:
         """One greedy round, locally: ((dataset_id, gain, |S_D|) or None,
         the number of ``taken`` ids this source holds)."""
         held = sum(d in self.index._nodes for d in taken)
-        if len(covered_cells) == 0 or len(self.index) == 0:
-            return None, held
         merged = DatasetNode(-1, covered_cells, self.theta)
         if use_index:
             cands: list[DatasetNode] = []
@@ -137,8 +136,7 @@ class DataSource:
                 for nd in iter_dataset_nodes(self.index.root)
                 if min_cell_distance(merged.coords, nd.coords) <= delta
             ]
-        covered = {int(c) for c in covered_cells}
-        best, tau = _pick_best(cands, covered, taken)
+        best, tau = _pick_best(cands, merged.cells, taken)
         if best is None:
             return None, held
         return (best.id, tau, best.size), held
@@ -207,7 +205,9 @@ class DataCenter:
         comm: CommLog | None = None,
     ) -> tuple[list[tuple[int, int]], CommLog]:
         comm = comm if comm is not None else CommLog()
-        query_cells = np.unique(np.asarray(query_cells, dtype=np.int64))
+        query_cells = canonical_cells(query_cells, self.theta)
+        if k <= 0 or len(query_cells) == 0:
+            return [], comm
         if use_global:
             rect, o, r = query_lonlat_geom(query_cells, self.bounds, self.theta)
             cands = candidate_sources(self.global_root, rect, o, r, -1.0)
@@ -234,19 +234,22 @@ class DataCenter:
         comm: CommLog | None = None,
     ) -> tuple[list[tuple[int, int]], CommLog]:
         assert strategy in ("merge", "sg_dits", "sg")
+        if delta < 0:
+            raise ValueError(f"delta must be >= 0, got {delta}")
         comm = comm if comm is not None else CommLog()
-        covered: set[int] = {int(c) for c in np.asarray(query_cells, dtype=np.int64)}
+        covered = canonical_cells(query_cells, self.theta)
+        if k <= 0 or len(covered) == 0:
+            return [], comm
         taken: set[int] = set(exclude)
         result: list[tuple[int, int]] = []
         pad = delta_to_deg(delta, self.bounds, self.theta)
         for _ in range(k):
-            merged_arr = np.fromiter(covered, dtype=np.int64)
             if strategy == "sg":
                 cands = self.summaries.values()
             else:
-                rect, o, r = query_lonlat_geom(merged_arr, self.bounds, self.theta)
+                rect, o, r = query_lonlat_geom(covered, self.bounds, self.theta)
                 cands = candidate_sources(self.global_root, rect, o, r, pad)
-            tasks = self._tasks(cands, merged_arr, pad if strategy == "merge" else None)
+            tasks = self._tasks(cands, covered, pad if strategy == "merge" else None)
             replies = self.transport.best(tasks, delta, taken, strategy != "sg")
             best: tuple[int, int, str] | None = None  # (gain, id, source)
             for (sid, sent), (reply, held) in zip(tasks, replies):
@@ -268,7 +271,7 @@ class DataCenter:
             comm.send("center", sid, "cjsp-fetch", ID_BYTES)
             cells_won = self.transport.cells(sid, did)
             comm.send(sid, "center", "cjsp-cells", len(cells_won) * CELL_BYTES)
-            covered.update(int(c) for c in cells_won)
+            covered = np.union1d(covered, cells_won)
             taken.add(did)
             result.append((did, gain))
         return result, comm

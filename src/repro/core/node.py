@@ -15,17 +15,20 @@ from ..geometry import (
     pivot_of_mbr,
     radius_of_mbr,
 )
+from ..grid import canonical_cells
 
 
 class DatasetNode:
     """Def. 12: one spatial dataset as an index entry. ``cells`` is the
-    dataset's cell set in its one canonical form: sorted and distinct."""
+    dataset's non-empty cell set in canonical form (``grid.canonical_cells``)."""
 
     __slots__ = ("id", "rect", "o", "r", "cells", "coords", "pa")
 
     def __init__(self, dataset_id: int, cells: np.ndarray, theta: int):
         self.id = int(dataset_id)
-        self.cells = np.unique(np.asarray(cells, dtype=np.int64))
+        self.cells = canonical_cells(cells, theta)
+        if len(self.cells) == 0:
+            raise ValueError(f"dataset {self.id} has no cells")
         self.coords = cell_coords(self.cells, theta)
         self.rect = mbr_of_coords(self.coords)
         self.o = pivot_of_mbr(self.rect)
@@ -59,15 +62,14 @@ class InternalNode:
 
 
 class LeafNode:
-    """Def. 14: leaf holding ≤ f dataset nodes plus an inverted index
-    ``inv``: cell ID -> list of child dataset IDs containing that cell.
-
-    Alongside the dict form, the leaf keeps a CSR mirror (``keys``,
-    ``plen``, ``indptr``, ``post``) so OverlapSearch's bound computation
-    and verification are vectorized numpy operations.
+    """Def. 14: leaf holding ≤ f dataset nodes plus an inverted index from
+    each cell ID to the child dataset IDs containing it, in CSR form: the
+    ``plen[i]`` children ``post[indptr[i]:indptr[i + 1]]`` contain cell
+    ``keys[i]``. OverlapSearch's bounds and verification are vectorized
+    numpy operations over these arrays.
     """
 
-    __slots__ = ("rect", "o", "r", "ch", "_inv", "f", "pa", "keys", "plen", "indptr", "post")
+    __slots__ = ("rect", "o", "r", "ch", "f", "pa", "keys", "plen", "indptr", "post")
 
     def __init__(self, rect: np.ndarray, children: list[DatasetNode], f: int):
         self.rect = rect
@@ -82,13 +84,11 @@ class LeafNode:
         """(Re)build the inverted index in CSR form with vectorized sorts:
         sorted key array + postings (dataset ids) in one flat array.
 
-        A stable sort on the concatenated (cell, dataset) rows preserves
-        child order inside each posting list, matching the dict the
-        insertion loop would build.
+        A stable sort on the concatenated (cell, dataset) rows keeps each
+        posting list in child order.
         """
         for nd in self.ch:
             nd.pa = self
-        self._inv = None
         if not self.ch:
             self.keys = np.empty(0, dtype=np.int64)
             self.plen = np.empty(0, dtype=np.int64)
@@ -105,17 +105,6 @@ class LeafNode:
         np.cumsum(self.plen, out=indptr[1:])
         self.indptr = indptr
         self.post = all_ids[order]
-
-    @property
-    def inv(self) -> dict[int, list[int]]:
-        """Dict view of the CSR postings (built lazily; used by tests and
-        by code that inspects the index, not by the search hot path)."""
-        if self._inv is None:
-            self._inv = {
-                int(c): self.post[self.indptr[i] : self.indptr[i + 1]].tolist()
-                for i, c in enumerate(self.keys)
-            }
-        return self._inv
 
     @property
     def is_leaf(self) -> bool:

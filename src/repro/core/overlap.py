@@ -18,6 +18,7 @@ import heapq
 import numpy as np
 
 from ..geometry import mbr_intersects
+from ..grid import match_cells
 from .node import DatasetNode, LeafNode
 
 
@@ -44,28 +45,13 @@ def brute_force_topk(
     return scored[:k]
 
 
-def _matched_key_idx(leaf: LeafNode, query_cells: np.ndarray) -> np.ndarray:
-    """Indices into ``leaf.keys`` of the query cells present in the leaf.
-
-    ``query_cells`` must be distinct (DatasetNode cells always are).
-    """
-    keys = leaf.keys
-    if len(keys) == 0 or len(query_cells) == 0:
-        return np.empty(0, dtype=np.int64)
-    pos = np.searchsorted(keys, query_cells)
-    ok = pos < len(keys)
-    pos = pos[ok]
-    hit = keys[pos] == query_cells[ok]
-    return pos[hit]
-
-
 def leaf_bounds(leaf: LeafNode, query_cells: np.ndarray) -> tuple[int, int]:
     """(lower, upper) intersection bounds of Lemmas 3 and 2.
 
     Upper: number of query cells present in the leaf's inverted index keys.
     Lower: number of query cells whose posting list covers *every* child.
     """
-    m = _matched_key_idx(leaf, query_cells)
+    m = match_cells(leaf.keys, query_cells)
     ub = int(m.size)
     lb = int((leaf.plen[m] == len(leaf.ch)).sum())
     return lb, ub
@@ -89,13 +75,6 @@ def _verify_matched(leaf: LeafNode, m: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.unique(ids, return_counts=True)
 
 
-def _verify_leaf(leaf: LeafNode, query_cells: np.ndarray) -> dict[int, int]:
-    """Exact |S_Q ∩ S_D| for every child of ``leaf`` with overlap > 0,
-    by scanning the posting lists of the query's matched cells (CSR form)."""
-    ids, cnts = _verify_matched(leaf, _matched_key_idx(leaf, query_cells))
-    return {int(d): int(c) for d, c in zip(ids, cnts)}
-
-
 def overlap_search(
     root,
     query_node: DatasetNode,
@@ -106,6 +85,8 @@ def overlap_search(
 
     Returns [(dataset_id, overlap)] sorted by (-overlap, id), overlap > 0.
     """
+    if k <= 0:
+        return []
     q_rect = query_node.rect
     q_cells = query_node.cells
 
@@ -118,7 +99,7 @@ def overlap_search(
         if not mbr_intersects(node.rect, q_rect):
             continue
         if node.is_leaf:
-            m = _matched_key_idx(node, q_cells)
+            m = match_cells(node.keys, q_cells)
             if m.size > 0:
                 candidates.append((int(m.size), node, m))
         else:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from . import sizing
 from .baselines.greedy import SGCoverage, SGDitsCoverage
 from .baselines.josie import JosieIndex
 from .baselines.quadtree import QuadTreeIndex
@@ -28,6 +29,7 @@ from .core.framework import make_center
 from .core.overlap import query_node_from_cells
 from .core.update import DitsLocalIndex
 from .params import (
+    BANDWIDTH_BYTES_PER_S,
     DELTA_DEFAULT,
     DELTA_VALUES,
     F_DEFAULT,
@@ -40,7 +42,17 @@ from .params import (
     THETA_VALUES,
     BETA_VALUES,
 )
-from .synth_spatial import SPACE, generate_corpus_pdf, pick_queries
+from .synth_spatial import SPACE, generate_corpus_pdf, pick_queries, source_statistics
+
+
+#: One workbench per experiment family (scale, point cap, generator seed),
+#: the one table ``jobs/`` and ``benchmarks/`` build theirs from.
+WORKBENCHES = {
+    "search": dict(scale=0.1, cap=1500, seed=7),  # Figs 9-12: big cell sets
+    "build": dict(scale=0.05, cap=400, seed=7),  # Table I, Fig 8, Figs 21/22
+    "comm": dict(scale=0.02, cap=300, seed=7),  # Figs 13/14
+    "cov": dict(scale=0.012, cap=200, seed=7),  # Figs 15-18, 19/20
+}
 
 
 @dataclass
@@ -53,7 +65,9 @@ class Workbench:
 
     @classmethod
     def make(cls, scale: float, cap: int = 300, seed: int = 7) -> "Workbench":
-        return cls(generate_corpus_pdf(scale=scale, max_points_per_dataset=cap), scale)
+        return cls(
+            generate_corpus_pdf(scale=scale, seed=seed, max_points_per_dataset=cap), scale
+        )
 
     def corpus(self, theta: int) -> dict[str, dict[int, np.ndarray]]:
         if theta not in self._cells:
@@ -87,8 +101,6 @@ INDEX_BUILDERS = {
 
 
 def _index_bytes(name: str, idx) -> int:
-    from . import sizing
-
     return {
         "DITS-L": lambda: sizing.dits_bytes(idx.root),
         "Rtree": lambda: sizing.rtree_bytes(idx),
@@ -290,8 +302,6 @@ def fig13_14_overlap_comm(
                     union[qid], k, frozenset([qid]), **kwargs
                 )
                 total += comm.total_bytes
-            from .params import BANDWIDTH_BYTES_PER_S
-
             rows.append(
                 {
                     "q": q,
@@ -402,8 +412,6 @@ def fig19_20_coverage_comm(
                     union[qid], delta, k, frozenset([qid]), strategy=strat
                 )
                 total += comm.total_bytes
-            from .params import BANDWIDTH_BYTES_PER_S
-
             rows.append(
                 {
                     "q": q,
@@ -416,8 +424,6 @@ def fig19_20_coverage_comm(
 
 
 def table1_statistics(wb: Workbench) -> pd.DataFrame:
-    from .synth_spatial import source_statistics
-
     return source_statistics(wb.points)
 
 

@@ -97,9 +97,28 @@ def cell_ids_np(x: np.ndarray, y: np.ndarray, bounds: Bounds, theta: int) -> np.
     return z_encode_np(X, Y, theta)
 
 
+def canonical_cells(cells, theta: int | None = None) -> np.ndarray:
+    """A cell set (Def. 5) in the one form every index and search relies
+    on: a sorted, distinct int64 array. Given ``theta``, IDs outside the
+    grid's ``[0, 4^theta)`` raise ValueError."""
+    out = np.unique(np.asarray(cells, dtype=np.int64))
+    if theta is not None and len(out) and (out[0] < 0 or out[-1] >= 4**theta):
+        raise ValueError(f"cell IDs {out[0]}..{out[-1]} are not all in [0, 4^{theta})")
+    return out
+
+
+def match_cells(keys: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Indices into the canonical cell set ``keys`` of the canonical
+    ``cells`` it holds."""
+    pos = np.searchsorted(keys, cells)
+    ok = pos < len(keys)
+    pos = pos[ok]
+    return pos[keys[pos] == cells[ok]]
+
+
 def cells_of_points(x, y, bounds: Bounds, theta: int) -> np.ndarray:
-    """The *cell-based dataset* of a point set: sorted distinct cell IDs."""
-    return np.unique(cell_ids_np(np.asarray(x), np.asarray(y), bounds, theta))
+    """The *cell-based dataset* of a point set, in canonical form."""
+    return canonical_cells(cell_ids_np(np.asarray(x), np.asarray(y), bounds, theta))
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,15 @@ THETA = 12
 F = 10
 
 
+def raw_cells(cells: np.ndarray, seed: int) -> np.ndarray:
+    """The same cell set with about a third of its cells repeated, in
+    shuffled order: input that is not in canonical form."""
+    g = np.random.default_rng(seed)
+    out = np.concatenate([cells, g.choice(cells, len(cells) // 3 + 1)])
+    g.shuffle(out)
+    return out
+
+
 @pytest.fixture(scope="session")
 def points_pdf():
     return generate_corpus_pdf(scale=0.005, max_points_per_dataset=120)

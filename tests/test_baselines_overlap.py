@@ -8,23 +8,26 @@ from repro.baselines.rtree import RTreeIndex
 from repro.baselines.sts3 import STS3Index
 from repro.core.overlap import brute_force_topk, query_node_from_cells
 from repro.grid import z_encode_np
-from tests.conftest import THETA
+from tests.conftest import THETA, raw_cells
 
 
-def _random_datasets(seed, n, theta=8, cells_per=15):
+def _random_datasets(seed, n, theta=8, cells_per=15, raw=False):
+    """``raw``: the same cell sets, each with repeated cells in shuffled order."""
     g = np.random.default_rng(seed)
     m = 1 << theta
-    return {
+    ds = {
         i: np.unique(
             z_encode_np(g.integers(0, m // 2, cells_per), g.integers(0, m // 2, cells_per), theta)
         )
         for i in range(n)
     }
+    return {i: raw_cells(c, seed * 1000 + i) for i, c in ds.items()} if raw else ds
 
 
-def _query(seed, theta=8):
+def _query(seed, theta=8, raw=False):
     g = np.random.default_rng(seed + 500)
-    return np.unique(z_encode_np(g.integers(0, 128, 25), g.integers(0, 128, 25), theta))
+    q = np.unique(z_encode_np(g.integers(0, 128, 25), g.integers(0, 128, 25), theta))
+    return raw_cells(q, seed + 500) if raw else q
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -50,6 +53,22 @@ class TestAllBaselinesEqualBruteForce:
         q = _query(seed)
         qn = query_node_from_cells(q, 8)
         assert RTreeIndex(ds, 8, 10).search(qn, k) == brute_force_topk(q, ds, k)
+
+    @pytest.mark.parametrize("index", ["sts3", "josie", "quadtree", "rtree"])
+    def test_raw_cells(self, seed, k, index):
+        """Repeated, unsorted cells in the datasets and the query: every
+        index answers for the cell sets, as the reference does."""
+        ds = _random_datasets(seed, 70, raw=True)
+        q = _query(seed, raw=True)
+        expect = brute_force_topk(q, ds, k)
+        assert expect == brute_force_topk(_query(seed), _random_datasets(seed, 70), k)
+        search = {
+            "sts3": lambda: STS3Index(ds).search(q, k),
+            "josie": lambda: JosieIndex(ds).search(q, k),
+            "quadtree": lambda: QuadTreeIndex(ds, 8).search(q, k),
+            "rtree": lambda: RTreeIndex(ds, 8, 10).search(query_node_from_cells(q, 8), k),
+        }[index]
+        assert search() == expect
 
 
 class TestJosieSpecifics:

@@ -1,6 +1,8 @@
 """CoverageSearch (Algorithm 3), connectivity, and the greedy baselines."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.coverage import (
     coverage_of,
@@ -16,7 +18,7 @@ from repro.core.update import DitsLocalIndex
 from repro.baselines.greedy import SGCoverage, SGDitsCoverage
 from repro.geometry import min_cell_distance
 from repro.grid import z_encode_np
-from tests.conftest import THETA
+from tests.conftest import THETA, raw_cells
 
 
 def _random_datasets(seed, n, theta=8, cells_per=10):
@@ -33,10 +35,18 @@ def _random_datasets(seed, n, theta=8, cells_per=10):
 
 class TestMarginalGain:
     def test_gain_counts_new_cells(self):
-        assert marginal_gain(np.array([1, 2, 3]), {2}) == 2
+        assert marginal_gain(np.array([1, 2, 3]), np.array([2])) == 2
 
     def test_gain_zero_when_subset(self):
-        assert marginal_gain(np.array([1, 2]), {1, 2, 3}) == 0
+        assert marginal_gain(np.array([1, 2]), np.array([1, 2, 3])) == 0
+
+    @given(st.sets(st.integers(0, 300)), st.sets(st.integers(0, 300)))
+    def test_gain_equals_set_difference(self, cells, covered):
+        """The searchsorted count against the Python-set definition."""
+        def arr(xs):
+            return np.array(sorted(xs), dtype=np.int64)
+
+        assert marginal_gain(arr(cells), arr(covered)) == len(cells - covered)
 
     def test_coverage_of(self):
         ds = {1: np.array([4, 5])}
@@ -96,6 +106,24 @@ class TestCoverageSearchAgainstBaselines:
         b = SGCoverage(ds, theta).search(qn, delta, k)
         c = SGDitsCoverage(root, theta).search(qn, delta, k)
         assert a == b == c
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("delta", [0, 3, 8])
+    def test_three_algorithms_agree_on_raw_cells(self, seed, delta):
+        """Repeated, unsorted cells in the datasets and the query; the gains
+        must add up to the reference coverage of the result."""
+        ds = {i: raw_cells(c, seed * 1000 + i) for i, c in _random_datasets(seed, 40).items()}
+        theta, k = 8, 10
+        root = build_dits_l(ds, theta, 4)
+        g = np.random.default_rng(seed + 7)
+        q = raw_cells(z_encode_np(g.integers(0, 200, 10), g.integers(0, 200, 10), theta), seed)
+        qn = query_node_from_cells(q, theta)
+        a = coverage_search(root, qn, delta, k)
+        assert a == SGCoverage(ds, theta).search(qn, delta, k)
+        assert a == SGDitsCoverage(root, theta).search(qn, delta, k)
+        assert coverage_of([d for d, _ in a], ds, q) == coverage_of([], ds, q) + sum(
+            gain for _, gain in a
+        )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_result_satisfies_connectivity(self, seed):

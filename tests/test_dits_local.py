@@ -24,6 +24,14 @@ def _random_datasets(seed, n, theta=8, cells_per=12):
     }
 
 
+def postings(leaf):
+    """The leaf's CSR inverted index as {cell: [dataset ids]}."""
+    return {
+        int(c): leaf.post[leaf.indptr[i] : leaf.indptr[i + 1]].tolist()
+        for i, c in enumerate(leaf.keys)
+    }
+
+
 def _check_invariants(root, f):
     # every leaf at/under capacity, MBRs contain children, inv consistent,
     # parent pointers correct.
@@ -38,7 +46,7 @@ def _check_invariants(root, f):
         for nd in leaf.ch:
             for c in nd.cells:
                 expect.setdefault(int(c), []).append(nd.id)
-        assert leaf.inv == expect
+        assert postings(leaf) == expect
 
     def rec(node):
         if node.is_leaf:

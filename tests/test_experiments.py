@@ -25,6 +25,10 @@ class TestWorkbench:
     def test_queries_deterministic(self, wb):
         assert wb.queries(5) == wb.queries(5)
 
+    def test_seed_changes_points(self, wb):
+        other = E.Workbench.make(0.004, cap=60, seed=8)
+        assert not other.points[["x", "y"]].equals(wb.points[["x", "y"]])
+
 
 class TestTables:
     def test_table1(self, wb):

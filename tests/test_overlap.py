@@ -12,17 +12,7 @@ from repro.core.overlap import (
 )
 from repro.grid import z_encode_np
 from tests.conftest import THETA
-
-
-def _random_datasets(seed, n, theta=8, cells_per=15):
-    g = np.random.default_rng(seed)
-    m = 1 << theta
-    return {
-        i: np.unique(
-            z_encode_np(g.integers(0, m // 2, cells_per), g.integers(0, m // 2, cells_per), theta)
-        )
-        for i in range(n)
-    }
+from tests.test_baselines_overlap import _query, _random_datasets
 
 
 class TestOverlapOf:
@@ -89,6 +79,15 @@ class TestOverlapSearch:
         q = np.unique(z_encode_np(g.integers(0, 128, 25), g.integers(0, 128, 25), 8))
         qn = query_node_from_cells(q, 8)
         assert overlap_search(root, qn, k) == brute_force_topk(q, ds, k)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_equals_brute_force_on_raw_cells(self, seed, k):
+        """Repeated, unsorted cells in the datasets and the query."""
+        ds = _random_datasets(seed, 80, raw=True)
+        q = _query(seed, raw=True)
+        root = build_dits_l(ds, 8, 3)
+        assert overlap_search(root, query_node_from_cells(q, 8), k) == brute_force_topk(q, ds, k)
 
     def test_query_with_no_overlap(self):
         ds = {0: np.array([0])}

@@ -11,6 +11,7 @@ from repro.core.dits_local import iter_dataset_nodes, iter_leaves
 from repro.core.overlap import brute_force_topk, query_node_from_cells
 from repro.core.update import DitsLocalIndex
 from repro.grid import z_encode_np
+from tests.test_dits_local import postings
 
 
 THETA = 8
@@ -49,7 +50,7 @@ def _check_dits_invariants(idx: DitsLocalIndex):
         for nd in leaf.ch:
             for c in nd.cells:
                 expect.setdefault(int(c), []).append(nd.id)
-        assert {k: sorted(v) for k, v in leaf.inv.items()} == {
+        assert {k: sorted(v) for k, v in postings(leaf).items()} == {
             k: sorted(v) for k, v in expect.items()
         }
 
